@@ -1,7 +1,9 @@
 //===- ast/Serialize.cpp - Compact expression serialization ------------------===//
 ///
 /// \file
-/// LEB128-based encoder and a defensive, iterative decoder.
+/// LEB128-based encoder and a defensive, iterative decoder. Both decoders
+/// share one bounds-checked \c Reader and one body walker (\c walkBody),
+/// so a bad blob gets the same error text and position from either.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -9,6 +11,8 @@
 
 #include "ast/Traversal.h"
 
+#include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -131,125 +135,284 @@ std::string hma::serializeExpr(const ExprContext &Ctx, const Expr *Root) {
   return Out;
 }
 
-DeserializeResult hma::deserializeExpr(ExprContext &Ctx,
-                                       std::string_view Bytes) {
-  auto Fail = [&](const char *Message, size_t Pos) {
-    DeserializeResult R;
-    R.Error = std::string(Message) + " at byte " + std::to_string(Pos);
-    return R;
-  };
+namespace {
 
-  Reader In(Bytes);
+/// Why a blob did not decode: the message and byte position that
+/// \ref DeserializeResult::Error reports.
+struct DecodeError {
+  const char *Message;
+  size_t Pos;
+};
+
+DeserializeResult failure(const DecodeError &E) {
+  DeserializeResult R;
+  R.Error = std::string(E.Message) + " at byte " + std::to_string(E.Pos);
+  return R;
+}
+
+/// Read the header and name table, interning every spelling into \p Ctx
+/// in table order; leaves \p In at the first body byte.
+std::optional<DecodeError> readNameTable(Reader &In, size_t TotalBytes,
+                                         ExprContext &Ctx,
+                                         std::vector<Name> &Names) {
   std::string_view Header;
   if (!In.getBytes(sizeof(Magic), Header) ||
       Header != std::string_view(Magic, sizeof(Magic)))
-    return Fail("bad magic", 0);
+    return DecodeError{"bad magic", 0};
 
   uint64_t NameCount;
-  if (!In.getVarint(NameCount) || NameCount > Bytes.size())
-    return Fail("corrupt name table", In.position());
-  std::vector<Name> Names;
+  if (!In.getVarint(NameCount) || NameCount > TotalBytes)
+    return DecodeError{"corrupt name table", In.position()};
   Names.reserve(NameCount);
   for (uint64_t I = 0; I != NameCount; ++I) {
     uint64_t Len;
     std::string_view Spelling;
     if (!In.getVarint(Len) || !In.getBytes(Len, Spelling))
-      return Fail("truncated name table", In.position());
+      return DecodeError{"truncated name table", In.position()};
     Names.push_back(Ctx.name(Spelling));
   }
+  return std::nullopt;
+}
 
-  // Iterative preorder reconstruction: frames collect children until
-  // full, then fold upward.
+/// Walk one preorder body iteratively, the single definition of the body
+/// grammar and its error reports. \p P sees the tree bottom-up:
+///
+///   Value var(size_t Id), constant(int64_t)      leaves
+///   void  bind(size_t Id)                        a binder's scope opens:
+///                                                Lam before its body, Let
+///                                                after its bound expression
+///   Value lam(Id, Body), app(Fun, Arg),          a node is complete; Lam and
+///         let(Id, Bound, Body)                   Let close their scope
+///
+/// where Id indexes the name table.
+template <typename Pass>
+std::optional<DecodeError> walkBody(Reader &In, size_t NameCount, Pass &P,
+                                    typename Pass::Value &Result) {
+  using Value = typename Pass::Value;
   struct Frame {
     ExprKind K;
-    Name N;
-    int64_t CVal;
-    unsigned Need;
+    size_t Id;
     unsigned Got;
-    const Expr *Child[2];
+    Value Child[2];
   };
   std::vector<Frame> Stack;
-  const Expr *Completed = nullptr;
 
-  auto readName = [&](Name &N) {
-    uint64_t Id;
-    if (!In.getVarint(Id) || Id >= Names.size())
+  auto readName = [&](size_t &Id) {
+    uint64_t V;
+    if (!In.getVarint(V) || V >= NameCount)
       return false;
-    N = Names[Id];
+    Id = static_cast<size_t>(V);
     return true;
   };
 
-  do {
+  for (;;) {
     uint8_t Tag;
     if (!In.getByte(Tag))
-      return Fail("truncated body", In.position());
+      return DecodeError{"truncated body", In.position()};
     if (Tag > static_cast<uint8_t>(ExprKind::Const))
-      return Fail("invalid node tag", In.position() - 1);
+      return DecodeError{"invalid node tag", In.position() - 1};
 
-    Frame F{static_cast<ExprKind>(Tag), InvalidName, 0, 0, 0, {}};
-    switch (F.K) {
+    const ExprKind K = static_cast<ExprKind>(Tag);
+    size_t Id = 0;
+    Value Node;
+    switch (K) {
     case ExprKind::Var:
-      if (!readName(F.N))
-        return Fail("bad name reference", In.position());
+      if (!readName(Id))
+        return DecodeError{"bad name reference", In.position()};
+      Node = P.var(Id);
       break;
-    case ExprKind::Const:
-      if (!In.getZigzag(F.CVal))
-        return Fail("truncated constant", In.position());
-      break;
-    case ExprKind::Lam:
-      if (!readName(F.N))
-        return Fail("bad binder reference", In.position());
-      F.Need = 1;
-      break;
-    case ExprKind::App:
-      F.Need = 2;
-      break;
-    case ExprKind::Let:
-      if (!readName(F.N))
-        return Fail("bad binder reference", In.position());
-      F.Need = 2;
+    case ExprKind::Const: {
+      int64_t C;
+      if (!In.getZigzag(C))
+        return DecodeError{"truncated constant", In.position()};
+      Node = P.constant(C);
       break;
     }
-
-    if (F.Need != 0) {
-      Stack.push_back(F);
+    case ExprKind::Lam:
+    case ExprKind::Let:
+      if (!readName(Id))
+        return DecodeError{"bad binder reference", In.position()};
+      if (K == ExprKind::Lam)
+        P.bind(Id);
+      Stack.push_back(Frame{K, Id, 0, {}});
+      continue;
+    case ExprKind::App:
+      Stack.push_back(Frame{K, 0, 0, {}});
       continue;
     }
-    // Leaf: build and fold into pending frames.
-    const Expr *Node = F.K == ExprKind::Var ? Ctx.var(F.N)
-                                            : Ctx.intConst(F.CVal);
+
+    // Leaf: fold it into the pending frames.
     for (;;) {
       if (Stack.empty()) {
-        Completed = Node;
-        break;
+        Result = Node;
+        if (!In.atEnd())
+          return DecodeError{"trailing bytes after expression",
+                             In.position()};
+        return std::nullopt;
       }
       Frame &Top = Stack.back();
       Top.Child[Top.Got++] = Node;
-      if (Top.Got < Top.Need) {
-        Node = nullptr;
+      if (Top.K == ExprKind::Lam) {
+        Node = P.lam(Top.Id, Top.Child[0]);
+      } else if (Top.Got == 1) {
+        if (Top.K == ExprKind::Let)
+          P.bind(Top.Id);
         break;
-      }
-      switch (Top.K) {
-      case ExprKind::Lam:
-        Node = Ctx.lam(Top.N, Top.Child[0]);
-        break;
-      case ExprKind::App:
-        Node = Ctx.app(Top.Child[0], Top.Child[1]);
-        break;
-      case ExprKind::Let:
-        Node = Ctx.let(Top.N, Top.Child[0], Top.Child[1]);
-        break;
-      case ExprKind::Var:
-      case ExprKind::Const:
-        return Fail("internal: leaf frame on stack", In.position());
+      } else if (Top.K == ExprKind::App) {
+        Node = P.app(Top.Child[0], Top.Child[1]);
+      } else {
+        Node = P.let(Top.Id, Top.Child[0], Top.Child[1]);
       }
       Stack.pop_back();
     }
-  } while (!Completed);
+  }
+}
 
-  if (!In.atEnd())
-    return Fail("trailing bytes after expression", In.position());
+/// Builds the tree exactly as spelled.
+struct BuildPass {
+  using Value = const Expr *;
+  ExprContext &Ctx;
+  const std::vector<Name> &Names;
+
+  Value var(size_t Id) { return Ctx.var(Names[Id]); }
+  Value constant(int64_t C) { return Ctx.intConst(C); }
+  void bind(size_t) {}
+  Value lam(size_t Id, Value Body) { return Ctx.lam(Names[Id], Body); }
+  Value app(Value Fun, Value Arg) { return Ctx.app(Fun, Arg); }
+  Value let(size_t Id, Value Bound, Value Body) {
+    return Ctx.let(Names[Id], Bound, Body);
+  }
+};
+
+/// Dense per-name state of \ref deserializeUniqueExpr, indexed by the
+/// canonical table index of an interned name.
+struct NameSlot {
+  uint32_t Depth = 0;      ///< Enclosing binders of this name (pre-pass).
+  bool Claimed = false;    ///< Free somewhere, or kept by a binder already.
+  Name Cur = InvalidName;  ///< Output name of the innermost binder in scope.
+};
+
+/// Map every table index to the first index holding the same interned
+/// name, so per-name state stays dense even when a table spells a name
+/// twice (serializeExpr never does; a crafted blob may).
+std::vector<uint32_t> canonicalIds(const std::vector<Name> &Names) {
+  std::vector<uint32_t> Order(Names.size());
+  for (uint32_t I = 0; I != Order.size(); ++I)
+    Order[I] = I;
+  std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+    return Names[A] != Names[B] ? Names[A] < Names[B] : A < B;
+  });
+  std::vector<uint32_t> Canon(Names.size());
+  for (size_t I = 0; I != Order.size(); ++I)
+    Canon[Order[I]] = I != 0 && Names[Order[I]] == Names[Order[I - 1]]
+                          ? Canon[Order[I - 1]]
+                          : Order[I];
+  return Canon;
+}
+
+/// Pre-pass: marks every name that occurs free as claimed, the reserved
+/// set uniquifyBinders starts from.
+struct FreeNamesPass {
+  struct Value {};
+  const std::vector<uint32_t> &Canon;
+  std::vector<NameSlot> &Slots;
+
+  Value var(size_t Id) {
+    NameSlot &S = Slots[Canon[Id]];
+    if (S.Depth == 0)
+      S.Claimed = true;
+    return {};
+  }
+  Value constant(int64_t) { return {}; }
+  void bind(size_t Id) { ++Slots[Canon[Id]].Depth; }
+  Value lam(size_t Id, Value) {
+    --Slots[Canon[Id]].Depth;
+    return {};
+  }
+  Value app(Value, Value) { return {}; }
+  Value let(size_t Id, Value, Value) {
+    --Slots[Canon[Id]].Depth;
+    return {};
+  }
+};
+
+/// Builds the tree with binders renamed as uniquifyBinders renames them:
+/// binders claim output names in the order its traversal does, keeping
+/// their spelling while it is unclaimed and otherwise taking the
+/// context's next fresh name.
+struct UniqueBuildPass {
+  using Value = const Expr *;
+  ExprContext &Ctx;
+  const std::vector<Name> &Names;
+  const std::vector<uint32_t> &Canon;
+  std::vector<NameSlot> &Slots;
+  std::vector<Name> Shadowed; ///< Outer Cur of every open scope.
+
+  Value var(size_t Id) {
+    Name Cur = Slots[Canon[Id]].Cur;
+    return Ctx.var(Cur != InvalidName ? Cur : Names[Id]);
+  }
+  Value constant(int64_t C) { return Ctx.intConst(C); }
+  void bind(size_t Id) {
+    NameSlot &S = Slots[Canon[Id]];
+    Shadowed.push_back(S.Cur);
+    if (!S.Claimed) {
+      S.Claimed = true;
+      S.Cur = Names[Id];
+    } else {
+      S.Cur = Ctx.names().freshName(Ctx.names().spelling(Names[Id]));
+    }
+  }
+  Name unbind(size_t Id) {
+    NameSlot &S = Slots[Canon[Id]];
+    Name Out = S.Cur;
+    S.Cur = Shadowed.back();
+    Shadowed.pop_back();
+    return Out;
+  }
+  Value lam(size_t Id, Value Body) { return Ctx.lam(unbind(Id), Body); }
+  Value app(Value Fun, Value Arg) { return Ctx.app(Fun, Arg); }
+  Value let(size_t Id, Value Bound, Value Body) {
+    return Ctx.let(unbind(Id), Bound, Body);
+  }
+};
+
+} // namespace
+
+DeserializeResult hma::deserializeExpr(ExprContext &Ctx,
+                                       std::string_view Bytes) {
+  Reader In(Bytes);
+  std::vector<Name> Names;
+  if (auto Err = readNameTable(In, Bytes.size(), Ctx, Names))
+    return failure(*Err);
+  BuildPass P{Ctx, Names};
   DeserializeResult R;
-  R.E = Completed;
+  if (auto Err = walkBody(In, Names.size(), P, R.E))
+    return failure(*Err);
+  return R;
+}
+
+DeserializeResult hma::deserializeUniqueExpr(ExprContext &Ctx,
+                                             std::string_view Bytes) {
+  Reader In(Bytes);
+  std::vector<Name> Names;
+  if (auto Err = readNameTable(In, Bytes.size(), Ctx, Names))
+    return failure(*Err);
+  Reader BodyIn = In; // the second pass re-reads the body from here
+  std::vector<uint32_t> Canon = canonicalIds(Names);
+  std::vector<NameSlot> Slots(Names.size());
+
+  // Pass one validates the whole body (so errors match deserializeExpr
+  // and nothing is built or renamed for a bad blob) and finds the free
+  // names; pass two builds the renamed tree over the same bytes.
+  FreeNamesPass Free{Canon, Slots};
+  FreeNamesPass::Value Ignored;
+  if (auto Err = walkBody(In, Names.size(), Free, Ignored))
+    return failure(*Err);
+
+  UniqueBuildPass P{Ctx, Names, Canon, Slots, {}};
+  DeserializeResult R;
+  if (auto Err = walkBody(BodyIn, Names.size(), P, R.E))
+    return failure(*Err);
   return R;
 }

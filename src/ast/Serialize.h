@@ -23,6 +23,14 @@
 /// Decoding is defensive: truncated or corrupt input yields an error,
 /// never UB.
 ///
+/// Two decoders read the format. \ref deserializeExpr rebuilds the tree
+/// exactly as spelled. \ref deserializeUniqueExpr rebuilds it with the
+/// binders renamed as \ref uniquifyBinders would rename them (the
+/// paper's Section 2.2 precondition), without a second tree pass. Every
+/// path that hashes serialized bytes uses the latter: the index's
+/// insertSerialized / insertBatch / lookupSerialized / lookupBatch, the
+/// segment compactor's reconcile loop and the daemon's lookups.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HMA_AST_SERIALIZE_H
@@ -47,6 +55,17 @@ struct DeserializeResult {
 
 /// Reconstruct an expression from \p Bytes into \p Ctx.
 DeserializeResult deserializeExpr(ExprContext &Ctx, std::string_view Bytes);
+
+/// Reconstruct \p Bytes into \p Ctx with every binder distinct from every
+/// other binder and from every free variable: exactly the tree
+/// `uniquifyBinders(Ctx, deserializeExpr(Ctx, Bytes).E)` returns, with the
+/// same names (so \ref serializeExpr gives the same bytes) and the same
+/// \ref StringInterner::freshName calls in the same order. A cheap
+/// pre-pass over the body finds the free names; the building pass then
+/// renames binders as it goes. Accepts exactly the blobs \ref
+/// deserializeExpr accepts, with the same error for the others.
+DeserializeResult deserializeUniqueExpr(ExprContext &Ctx,
+                                        std::string_view Bytes);
 
 } // namespace hma
 

@@ -14,6 +14,13 @@
 /// Cost: O(n log n) (one pass, with persistent-map environments), as the
 /// paper states for this step.
 ///
+/// Paths that start from serialized bytes do not call this: they decode
+/// with \ref deserializeUniqueExpr (`ast/Serialize.h`), which builds the
+/// same tree with the same names directly from the bytes. This pass
+/// serves trees callers build themselves: parsed text, the index's
+/// `lookup`/`insert` library API, CSE and whole-program subexpression
+/// hashing.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HMA_AST_UNIQUIFY_H

@@ -179,14 +179,16 @@ public:
   std::optional<H> insertSerialized(std::string_view Bytes,
                                     std::string *Error = nullptr) {
     ExprContext Ctx;
-    DeserializeResult R = deserializeExpr(Ctx, Bytes);
+    DeserializeResult R = deserializeUniqueExpr(Ctx, Bytes);
     if (!R.ok()) {
       if (Error)
         *Error = R.Error;
       shardFor(H{}).bumpDecodeError();
       return std::nullopt;
     }
-    return insert(Ctx, R.E);
+    H Hash = AlphaHasher<H>(Ctx, Schema).hashRoot(R.E);
+    insertHashed(Ctx, R.E, Hash);
+    return Hash;
   }
 
   /// Intern a whole corpus of serialised expressions, hashing on
@@ -203,14 +205,13 @@ public:
         [&](AlphaHasher<H> &Hasher, ExprContext &Ctx, size_t Begin,
             size_t End, BatchWorkerState &W) {
           for (size_t I = Begin; I != End; ++I) {
-            DeserializeResult R = deserializeExpr(Ctx, Blobs[I]);
+            DeserializeResult R = deserializeUniqueExpr(Ctx, Blobs[I]);
             if (!R.ok()) {
               ++W.Local.DecodeErrors;
               shardFor(H{}).bumpDecodeError();
               continue;
             }
-            const Expr *Root = uniquifyBinders(Ctx, R.E);
-            insertHashed(Ctx, Root, Hasher.hashRoot(Root));
+            insertHashed(Ctx, R.E, Hasher.hashRoot(R.E));
             ++W.Local.Ingested;
           }
         },
@@ -259,6 +260,54 @@ public:
     return lookupHashed(Ctx, Root, Hasher.hashRoot(Root), Scratch);
   }
 
+  /// Read-path probe: \p Root (owned by \p SrcCtx, binders distinct) with
+  /// its already-computed alpha-hash, under a shared stripe lock. The
+  /// fallback decodes candidates into \p Scratch, which must be private
+  /// to the calling thread (shard state is only read).
+  std::optional<LookupResult>
+  lookupHashed(const ExprContext &SrcCtx, const Expr *Root, H Hash,
+               DecodeScratch &Scratch) const override {
+    static const obs::Histogram LockWaitNs = obs::Histogram::get(
+        "hma_index_read_lock_wait_ns",
+        "Time a reader waited to acquire its shard's shared lock, ns");
+    static const obs::Histogram LockHoldNs = obs::Histogram::get(
+        "hma_index_read_lock_hold_ns",
+        "Time a reader held its shard's shared lock, ns");
+    static const obs::Histogram VerifyNs = obs::Histogram::get(
+        "hma_index_verify_ns",
+        "Latency of a probe that ran the exact alpha-equivalence "
+        "fallback at least once, ns");
+    static const obs::Counter ReadVerifies = obs::Counter::get(
+        "hma_index_read_fallback_checks_total",
+        "Exact-verify fallback runs on the shared-lock read path");
+    static const obs::Counter ReadCollisions = obs::Counter::get(
+        "hma_index_read_verified_collisions_total",
+        "Hash matches refuted by the exact oracle on the read path");
+    const Shard &S = shardFor(Hash);
+    const uint64_t T0 = obs::Enabled ? obs::nowNanos() : 0;
+    std::shared_lock<std::shared_mutex> Lock(S.Mu);
+    const uint64_t T1 = obs::Enabled ? obs::nowNanos() : 0;
+    uint64_t Checks = 0, Refuted = 0;
+    size_t Id = S.Store.find(SrcCtx, Root, Hash, Scratch, Checks, Refuted);
+    if (obs::Enabled) {
+      const uint64_t T2 = obs::nowNanos();
+      LockWaitNs.record(T1 - T0);
+      LockHoldNs.record(T2 - T1);
+      if (Checks)
+        VerifyNs.record(T2 - T1);
+    }
+    if (Checks) {
+      S.ReadFallbackChecks.fetch_add(Checks, std::memory_order_relaxed);
+      S.ReadVerifiedCollisions.fetch_add(Refuted, std::memory_order_relaxed);
+      ReadVerifies.add(Checks);
+      ReadCollisions.add(Refuted);
+    }
+    if (Id == ShardStore<H>::npos)
+      return std::nullopt;
+    const auto &C = S.Store.at(Id);
+    return LookupResult{Hash, C.Count, C.Bytes};
+  }
+
   /// Look up a whole corpus of serialised expressions on \p Threads
   /// workers: the read-mostly mirror of \ref insertBatch (ROADMAP's bulk
   /// `lookupBatch`). Result i corresponds to blob i; a blob that fails to
@@ -274,12 +323,11 @@ public:
         [&](AlphaHasher<H> &Hasher, ExprContext &Ctx, size_t Begin,
             size_t End, BatchWorkerState &W) {
           for (size_t I = Begin; I != End; ++I) {
-            DeserializeResult R = deserializeExpr(Ctx, Blobs[I]);
+            DeserializeResult R = deserializeUniqueExpr(Ctx, Blobs[I]);
             if (!R.ok())
               continue; // leave Results[I] empty; read path mutates no stats
-            const Expr *Root = uniquifyBinders(Ctx, R.E);
             Results[I] =
-                lookupHashed(Ctx, Root, Hasher.hashRoot(Root), W.Scratch);
+                lookupHashed(Ctx, R.E, Hasher.hashRoot(R.E), W.Scratch);
           }
         },
         [](BatchWorkerState &, uint64_t, uint64_t) {});
@@ -461,54 +509,6 @@ private:
 
   Shard &shardFor(H Hash) const {
     return ShardsArr[detail::shardIndexForHash(Hash, ShardMask)];
-  }
-
-  /// Read-path probe: \p Root (owned by \p SrcCtx, binders distinct) with
-  /// its already-computed alpha-hash, under a shared stripe lock. The
-  /// fallback decodes candidates into \p Scratch, which must be private
-  /// to the calling thread (shard state is only read).
-  std::optional<LookupResult> lookupHashed(const ExprContext &SrcCtx,
-                                           const Expr *Root, H Hash,
-                                           DecodeScratch &Scratch) const {
-    static const obs::Histogram LockWaitNs = obs::Histogram::get(
-        "hma_index_read_lock_wait_ns",
-        "Time a reader waited to acquire its shard's shared lock, ns");
-    static const obs::Histogram LockHoldNs = obs::Histogram::get(
-        "hma_index_read_lock_hold_ns",
-        "Time a reader held its shard's shared lock, ns");
-    static const obs::Histogram VerifyNs = obs::Histogram::get(
-        "hma_index_verify_ns",
-        "Latency of a probe that ran the exact alpha-equivalence "
-        "fallback at least once, ns");
-    static const obs::Counter ReadVerifies = obs::Counter::get(
-        "hma_index_read_fallback_checks_total",
-        "Exact-verify fallback runs on the shared-lock read path");
-    static const obs::Counter ReadCollisions = obs::Counter::get(
-        "hma_index_read_verified_collisions_total",
-        "Hash matches refuted by the exact oracle on the read path");
-    const Shard &S = shardFor(Hash);
-    const uint64_t T0 = obs::Enabled ? obs::nowNanos() : 0;
-    std::shared_lock<std::shared_mutex> Lock(S.Mu);
-    const uint64_t T1 = obs::Enabled ? obs::nowNanos() : 0;
-    uint64_t Checks = 0, Refuted = 0;
-    size_t Id = S.Store.find(SrcCtx, Root, Hash, Scratch, Checks, Refuted);
-    if (obs::Enabled) {
-      const uint64_t T2 = obs::nowNanos();
-      LockWaitNs.record(T1 - T0);
-      LockHoldNs.record(T2 - T1);
-      if (Checks)
-        VerifyNs.record(T2 - T1);
-    }
-    if (Checks) {
-      S.ReadFallbackChecks.fetch_add(Checks, std::memory_order_relaxed);
-      S.ReadVerifiedCollisions.fetch_add(Refuted, std::memory_order_relaxed);
-      ReadVerifies.add(Checks);
-      ReadCollisions.add(Refuted);
-    }
-    if (Id == ShardStore<H>::npos)
-      return std::nullopt;
-    const auto &C = S.Store.at(Id);
-    return LookupResult{Hash, C.Count, C.Bytes};
   }
 
   /// Core ingest: \p Root (owned by \p SrcCtx, binders distinct) with its

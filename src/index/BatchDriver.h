@@ -29,7 +29,6 @@
 
 #include "ast/Expr.h"
 #include "ast/Serialize.h"
-#include "ast/Uniquify.h"
 #include "core/AlphaHasher.h"
 #include "index/ThreadPool.h"
 #include "obs/Metrics.h"
@@ -142,25 +141,25 @@ void forEachHashedChunk(const HashSchema &Schema, size_t Count,
 /// stalls between probe steps, so several descents can stay in flight.
 template <typename H> struct HashedChunkItem {
   size_t Index;     ///< Position in the batch's blob vector.
-  const Expr *Root; ///< Binder-uniquified root, owned by the chunk's Ctx.
+  const Expr *Root; ///< Root with distinct binders, owned by the chunk's Ctx.
   H Hash;           ///< Alpha-hash under the batch's schema.
 };
 
-/// Phase one of a two-phase chunk body: decode, binder-uniquify and hash
-/// blobs [\p Begin, \p End) into \p Out (cleared first; undecodable
-/// blobs are skipped, matching the "undecodable == miss" batch
-/// contract). Decoded roots live in \p Ctx for the rest of the chunk.
+/// Phase one of a two-phase chunk body: decode straight into unique
+/// binders (\ref deserializeUniqueExpr) and hash blobs [\p Begin, \p End)
+/// into \p Out (cleared first; undecodable blobs are skipped, matching
+/// the "undecodable == miss" batch contract). Decoded roots live in
+/// \p Ctx for the rest of the chunk.
 template <typename H>
 void decodeAndHashChunk(AlphaHasher<H> &Hasher, ExprContext &Ctx,
                         const std::vector<std::string> &Blobs, size_t Begin,
                         size_t End, std::vector<HashedChunkItem<H>> &Out) {
   Out.clear();
   for (size_t I = Begin; I != End; ++I) {
-    DeserializeResult R = deserializeExpr(Ctx, Blobs[I]);
+    DeserializeResult R = deserializeUniqueExpr(Ctx, Blobs[I]);
     if (!R.ok())
       continue;
-    const Expr *Root = uniquifyBinders(Ctx, R.E);
-    Out.push_back(HashedChunkItem<H>{I, Root, Hasher.hashRoot(Root)});
+    Out.push_back(HashedChunkItem<H>{I, R.E, Hasher.hashRoot(R.E)});
   }
 }
 

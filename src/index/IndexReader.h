@@ -35,6 +35,8 @@
 
 #include "ast/Expr.h"
 #include "ast/Serialize.h"
+#include "core/AlphaHasher.h"
+#include "index/ShardStore.h"
 #include "support/HashCode.h"
 #include "support/HashSchema.h"
 
@@ -234,17 +236,28 @@ public:
   virtual std::optional<LookupResult<H>> lookup(ExprContext &Ctx,
                                                 const Expr *Root) = 0;
 
-  /// Membership query in `ast/Serialize` format: decode into a scratch
-  /// context and \ref lookup. One definition for every backend, so a
-  /// behavior change (e.g. how undecodable query blobs are reported)
-  /// cannot reach one read path and miss another.
+  /// Probe for an already-hashed query whose binders are already
+  /// distinct (\ref deserializeUniqueExpr output, or \ref uniquifyBinders
+  /// output): \ref lookup minus the rewrite and the hash. The fallback
+  /// decodes candidates into \p Scratch, private to the calling thread.
+  virtual std::optional<LookupResult<H>>
+  lookupHashed(const ExprContext &Ctx, const Expr *Root, H Hash,
+               DecodeScratch &Scratch) const = 0;
+
+  /// Membership query in `ast/Serialize` format: decode straight into
+  /// unique binders in a scratch context, hash, and \ref lookupHashed.
+  /// One definition for every backend, so a behavior change (e.g. how
+  /// undecodable query blobs are reported) cannot reach one read path
+  /// and miss another.
   virtual std::optional<LookupResult<H>> lookupSerialized(
       std::string_view Bytes) {
     ExprContext Ctx;
-    DeserializeResult R = deserializeExpr(Ctx, Bytes);
+    DeserializeResult R = deserializeUniqueExpr(Ctx, Bytes);
     if (!R.ok())
       return std::nullopt;
-    return lookup(Ctx, R.E);
+    AlphaHasher<H> Hasher(Ctx, schema());
+    DecodeScratch Scratch;
+    return lookupHashed(Ctx, R.E, Hasher.hashRoot(R.E), Scratch);
   }
 
   /// Bulk lookup of serialised expressions on \p Threads workers. Result

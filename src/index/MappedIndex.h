@@ -406,9 +406,9 @@ public:
   /// query once and then probes every segment of a segmented index with
   /// the same (root, hash) pair. Engine selection, candidate scan and
   /// counters are exactly those of \ref lookup.
-  std::optional<LookupResult> lookupHashed(const ExprContext &Ctx,
-                                           const Expr *Root, H Hash,
-                                           DecodeScratch &Scratch) const {
+  std::optional<LookupResult>
+  lookupHashed(const ExprContext &Ctx, const Expr *Root, H Hash,
+               DecodeScratch &Scratch) const override {
     return findHashed(Ctx, Root, Hash, Scratch);
   }
 

@@ -47,7 +47,6 @@
 #define HMA_INDEX_SEGMENTCOMPACTOR_H
 
 #include "ast/Serialize.h"
-#include "ast/Uniquify.h"
 #include "index/AlphaHashIndex.h"
 #include "index/IndexIO.h"
 #include "index/SegmentManifest.h"
@@ -174,22 +173,21 @@ SegmentAppendResult appendSegment(const std::string &Dir,
   R.DeltaClasses = Delta.numClasses();
 
   // Reconcile against the union: one probe per delta class. The
-  // snapshot's hash is authoritative (no re-hashing); only the decode +
-  // binder-uniquify of each delta representative is new work, and the
+  // snapshot's hash is authoritative (no re-hashing); only the decode of
+  // each delta representative into unique binders is new work, and the
   // probes run the segments' usual branchless engines.
   IndexStats Stats = Delta.stats();
   ExprContext Ctx;
   DecodeScratch Scratch;
   for (const auto &C : Delta.snapshot()) {
-    DeserializeResult D = deserializeExpr(Ctx, C.CanonicalBytes);
+    DeserializeResult D = deserializeUniqueExpr(Ctx, C.CanonicalBytes);
     if (!D.ok()) {
       R.Error = "staged delta produced an undecodable canonical blob";
       return R;
     }
-    const Expr *Root = uniquifyBinders(Ctx, D.E);
     bool Known = false;
     for (const auto &S : Set.Set->segments())
-      if (S->lookupHashed(Ctx, Root, C.Hash, Scratch)) {
+      if (S->lookupHashed(Ctx, D.E, C.Hash, Scratch)) {
         Known = true;
         break;
       }

@@ -417,25 +417,38 @@ public:
     return Top;
   }
 
+  /// Uniquify and hash once, then \ref lookupHashed: probe every segment
+  /// newest-first, sum counts saturating, answer with the oldest
+  /// segment's representative.
   std::optional<LookupResult> lookup(ExprContext &Ctx,
                                      const Expr *Root) override {
-    AlphaHasher<H> Hasher(Ctx, Schema);
+    Root = uniquifyBinders(Ctx, Root);
     DecodeScratch Scratch;
-    return lookup(Ctx, Root, Hasher, Scratch);
+    return lookupHashed(Ctx, Root, AlphaHasher<H>(Ctx, Schema).hashRoot(Root),
+                        Scratch);
   }
 
-  /// Scratch-reusing lookup (the serving path's shape, mirroring \ref
-  /// MappedIndex::lookup): hash once, probe every segment newest-first,
-  /// sum counts saturating, answer with the oldest segment's
-  /// representative.
-  std::optional<LookupResult> lookup(ExprContext &Ctx, const Expr *Root,
-                                     AlphaHasher<H> &Hasher,
-                                     DecodeScratch &Scratch) const {
-    assert(Hasher.schema().seed() == Schema.seed() &&
-           "hasher seed does not match the manifest");
-    Hasher.bindIfNeeded(Ctx);
-    Root = uniquifyBinders(Ctx, Root);
-    return findHashed(Ctx, Root, Hasher.hashRoot(Root), Scratch);
+  /// Probe every segment, newest first, for an already-uniquified,
+  /// already-hashed query (the shape of \ref MappedIndex::lookupHashed).
+  std::optional<LookupResult>
+  lookupHashed(const ExprContext &Ctx, const Expr *Root, H Hash,
+               DecodeScratch &Scratch) const override {
+    std::optional<LookupResult> Answer;
+    for (const auto &S : Set->segments()) {
+      std::optional<LookupResult> R =
+          S->lookupHashed(Ctx, Root, Hash, Scratch);
+      if (!R)
+        continue;
+      if (!Answer) {
+        Answer = R;
+        continue;
+      }
+      // A hit in an older segment: it holds the earlier-ingested (hence
+      // canonical) representative, and its count joins the union sum.
+      Answer->Count = saturatingAdd(Answer->Count, R->Count);
+      Answer->CanonicalBytes = R->CanonicalBytes;
+    }
+    return Answer;
   }
 
   /// Chunked parallel batch over the union: each item is decoded and
@@ -456,35 +469,13 @@ public:
           detail::decodeAndHashChunk(Hasher, Ctx, Blobs, Begin, End,
                                      W.Items);
           for (const detail::HashedChunkItem<H> &It : W.Items)
-            Results[It.Index] = findHashed(Ctx, It.Root, It.Hash, W.Scratch);
+            Results[It.Index] = lookupHashed(Ctx, It.Root, It.Hash, W.Scratch);
         },
         [](WorkerState &, uint64_t, uint64_t) {});
     return Results;
   }
 
 private:
-  /// Newest-first probe of every segment for one hashed query.
-  std::optional<LookupResult> findHashed(const ExprContext &Ctx,
-                                         const Expr *Root, H Hash,
-                                         DecodeScratch &Scratch) const {
-    std::optional<LookupResult> Answer;
-    for (const auto &S : Set->segments()) {
-      std::optional<LookupResult> R =
-          S->lookupHashed(Ctx, Root, Hash, Scratch);
-      if (!R)
-        continue;
-      if (!Answer) {
-        Answer = R;
-        continue;
-      }
-      // A hit in an older segment: it holds the earlier-ingested (hence
-      // canonical) representative, and its count joins the union sum.
-      Answer->Count = saturatingAdd(Answer->Count, R->Count);
-      Answer->CanonicalBytes = R->CanonicalBytes;
-    }
-    return Answer;
-  }
-
   template <typename Fn> std::vector<size_t> sumPerShard(Fn Get) const {
     std::vector<size_t> Sum;
     for (const auto &S : Set->segments()) {

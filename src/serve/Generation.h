@@ -41,7 +41,6 @@
 #include "obs/Metrics.h"
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -59,21 +58,11 @@ struct Generation {
   std::unique_ptr<MappedIndex<Hash128>> Mapped;
   std::unique_ptr<SegmentedIndex<Hash128>> Segmented;
   /// The live backend, whichever of the two is set: every interface use
-  /// (stats rendering, schema, counts) goes through this one pointer.
+  /// (stats rendering, schema, counts, the request path's \ref
+  /// IndexReader::lookupHashed) goes through this one pointer.
   IndexReader<Hash128> *Index = nullptr;
   uint64_t Number = 0;  ///< Strictly monotonic across swaps.
   std::string Path;     ///< File or directory this generation came from.
-
-  /// The scratch-reusing lookup the request path needs (not part of the
-  /// \ref IndexReader surface): dispatch to whichever backend is live.
-  std::optional<LookupResult<Hash128>>
-  lookup(ExprContext &Ctx, const Expr *Root, AlphaHasher<Hash128> &Hasher,
-         DecodeScratch &Scratch) const {
-    assert(Index && "generation published without a backend");
-    if (Mapped)
-      return Mapped->lookup(Ctx, Root, Hasher, Scratch);
-    return Segmented->lookup(Ctx, Root, Hasher, Scratch);
-  }
 };
 
 using GenerationRef = std::shared_ptr<const Generation>;

@@ -679,7 +679,10 @@ struct Server::Impl {
 
         // Deadline sweep.
         if (!InDrain && C.Fd >= 0) {
-          if (C.FrameStartNs != 0 &&
+          // A frame stamped after this tick's Now (its first bytes were
+          // read above) cannot be late yet; without the order check the
+          // subtraction wraps and kills every frame that spans two reads.
+          if (C.FrameStartNs != 0 && C.FrameStartNs < Now &&
               Now - C.FrameStartNs >
                   uint64_t(Opts.RequestTimeoutMs) * 1000000u) {
             ServerMetrics::get().DeadlineKills.add(1);
@@ -942,10 +945,11 @@ struct Server::Impl {
                  ReqScratch &Scratch, WireLookup &R) {
     AlphaHasher<Hash128> &Hasher = Scratch.hasherFor(Gen.Index->schema());
     ExprContext Ctx;
-    DeserializeResult D = deserializeExpr(Ctx, Blob);
+    DeserializeResult D = deserializeUniqueExpr(Ctx, Blob);
     if (D.ok()) {
-      std::optional<LookupResult<Hash128>> Hit =
-          Gen.lookup(Ctx, D.E, Hasher, Scratch.Scratch);
+      Hasher.bindIfNeeded(Ctx);
+      std::optional<LookupResult<Hash128>> Hit = Gen.Index->lookupHashed(
+          Ctx, D.E, Hasher.hashRoot(D.E), Scratch.Scratch);
       if (Hit) {
         R.Present = true;
         R.Hash = Hit->Hash;

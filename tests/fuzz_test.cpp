@@ -4,13 +4,16 @@
 /// Failure injection: the parser and the deserializer face arbitrary
 /// bytes (random garbage, bit-flipped valid inputs, truncations) and
 /// must reject them gracefully -- library code never throws, crashes or
-/// reads out of bounds (run under ASan in sanitizer builds).
+/// reads out of bounds (run under ASan in sanitizer builds). The
+/// unique-binder decoder, which reads wire frames and corpora, must
+/// accept exactly what the plain decoder accepts, with the same error.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ast/Parser.h"
 #include "ast/Printer.h"
 #include "ast/Serialize.h"
+#include "ast/Uniquify.h"
 #include "gen/RandomExpr.h"
 
 #include "TestUtil.h"
@@ -38,6 +41,22 @@ std::string randomTokenSoup(Rng &R, size_t Tokens) {
     S.push_back(' ');
   }
   return S;
+}
+
+/// deserializeUniqueExpr accepts \p Bytes exactly when deserializeExpr
+/// does, with the same error text, and otherwise builds what
+/// uniquifyBinders makes of the plain decode. Returns whether it decoded.
+bool expectDecoderParity(std::string_view Bytes) {
+  ExprContext Plain, Unique;
+  DeserializeResult P = deserializeExpr(Plain, Bytes);
+  DeserializeResult U = deserializeUniqueExpr(Unique, Bytes);
+  EXPECT_EQ(P.ok(), U.ok());
+  EXPECT_EQ(P.Error, U.Error);
+  if (P.ok() && U.ok()) {
+    EXPECT_EQ(serializeExpr(Plain, uniquifyBinders(Plain, P.E)),
+              serializeExpr(Unique, U.E));
+  }
+  return U.ok();
 }
 
 } // namespace
@@ -92,11 +111,14 @@ TEST(Fuzz, DeserializerSurvivesRandomBytes) {
   Rng R(0xD15EA5E);
   for (int Rep = 0; Rep != 500; ++Rep) {
     ExprContext Ctx;
-    DeserializeResult Result =
-        deserializeExpr(Ctx, randomBytes(R, R.below(150)));
+    const std::string Bytes = randomBytes(R, R.below(150));
+    DeserializeResult Result = deserializeExpr(Ctx, Bytes);
     if (!Result.ok()) {
       EXPECT_FALSE(Result.Error.empty());
     }
+    expectDecoderParity(Bytes);
+    // Past the magic, so the name table and body parsers see garbage too.
+    expectDecoderParity("HMA1" + Bytes);
   }
 }
 
@@ -126,9 +148,30 @@ TEST(Fuzz, DeserializerSurvivesMutatedValidInput) {
       ++StillValid; // some mutations are benign (e.g. a constant bit)
       EXPECT_GE(Result.E->treeSize(), 1u);
     }
+    expectDecoderParity(Bad);
   }
   // Most mutations must be caught.
   EXPECT_LT(StillValid, 200);
+}
+
+TEST(Fuzz, UniqueDecoderParityOnEveryFlipAndTruncation) {
+  // Exhaustive over one small let-heavy blob whose binders repeat:
+  // every single-bit flip and every prefix. Flips that land in the name
+  // table or on a binder id reshape scopes, so accepted mutants exercise
+  // renaming as well as rejection.
+  ExprContext Source;
+  const std::string Good = serializeExpr(
+      Source, parseT(Source, "(let (x (lam (x) (add x y))) "
+                             "(let (y (x 3)) (lam (x) (x (let (x y) x)))))"));
+  int Accepted = 0;
+  for (size_t Bit = 0; Bit != Good.size() * 8; ++Bit) {
+    std::string Bad = Good;
+    Bad[Bit / 8] ^= char(1 << (Bit % 8));
+    Accepted += expectDecoderParity(Bad);
+  }
+  for (size_t Len = 0; Len <= Good.size(); ++Len)
+    Accepted += expectDecoderParity(Good.substr(0, Len));
+  EXPECT_GT(Accepted, 1); // the whole blob plus some benign flips
 }
 
 TEST(Fuzz, SerializeRoundTripUnderReinterning) {

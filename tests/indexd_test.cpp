@@ -44,6 +44,7 @@
 #include "index/MappedIndex.h"
 #include "index/SegmentCompactor.h"
 #include "index/SegmentManifest.h"
+#include "obs/Metrics.h"
 
 #include "TestUtil.h"
 #include "gtest/gtest.h"
@@ -51,10 +52,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <dirent.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 #endif
 
@@ -108,6 +112,16 @@ ClientOptions testClientOpts(const std::string &Sock) {
   O.ConnectRetries = 5;
   O.RetryBaseMs = 20;
   return O;
+}
+
+/// Poll \p Pred every millisecond for up to \p BoundMs. True if it held.
+template <typename Pred> bool eventually(int BoundMs, Pred &&P) {
+  for (int Waited = 0; Waited < BoundMs; ++Waited) {
+    if (P())
+      return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return P();
 }
 
 /// Start a daemon or fail the test; stops it on scope exit even when an
@@ -177,9 +191,11 @@ TEST(GenerationSwap, ConcurrentReadersNeverSeeWrongAnswersAcross100Swaps) {
         ASSERT_NE(Gen, nullptr);
         const std::string &Blob = Corpus[I % Corpus.size()];
         ExprContext Ctx;
-        DeserializeResult D = deserializeExpr(Ctx, Blob);
+        DeserializeResult D = deserializeUniqueExpr(Ctx, Blob);
         ASSERT_TRUE(D.ok());
-        auto Hit = Gen->lookup(Ctx, D.E, Hasher, Scratch);
+        Hasher.bindIfNeeded(Ctx);
+        auto Hit =
+            Gen->Index->lookupHashed(Ctx, D.E, Hasher.hashRoot(D.E), Scratch);
         const auto &Want = Expect[I % Corpus.size()];
         if (!Hit || !Want || Hit->Hash != Want->Hash ||
             Hit->Count != Want->Count ||
@@ -362,6 +378,85 @@ TEST(Indexd, WireAnswersAreByteIdenticalToMappedGroundTruth) {
   ASSERT_TRUE(C.stats(StatsFormat::Prom, Report, &Error)) << Error;
   EXPECT_NE(Report.find("hma_index_classes"), std::string::npos);
 
+  std::remove(Path.c_str());
+}
+
+TEST(Indexd, FrameSplitAcrossTwoWritesIsAnsweredNotTimedOut) {
+  // A LookupBatch frame whose bytes arrive in two reads. The daemon
+  // stamps the partial frame's start after its poll tick read the clock;
+  // the deadline sweep must not see that stamp as 2^64 ns old.
+  std::vector<std::string> Corpus = makeCorpus(200, 77);
+  const std::string Path = "indexd_test_split.hmai";
+  const std::string Sock = "indexd_test_split.sock";
+  writeIndexFileFor(Corpus, Path);
+  auto Truth = MappedIndex<Hash128>::open(Path);
+  ASSERT_TRUE(Truth.ok()) << Truth.Error;
+  auto Expect = Truth.Reader->lookupBatch(Corpus, /*Threads=*/1);
+
+  DaemonGuard D(testOpts(Path, Sock));
+  ASSERT_TRUE(D.Started);
+
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(Fd, 0);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::memcpy(Addr.sun_path, Sock.c_str(), Sock.size() + 1);
+  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
+            0);
+  timeval Tv{10, 0};
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
+
+  auto BytesRead = [] {
+    obs::Snapshot S = obs::Registry::global().snapshot();
+    const obs::CounterRow *C = S.counter("hma_indexd_bytes_read_total");
+    return C ? C->Value : 0;
+  };
+  auto SendAll = [&](std::string_view Bytes) {
+    while (!Bytes.empty()) {
+      ssize_t N = ::send(Fd, Bytes.data(), Bytes.size(), MSG_NOSIGNAL);
+      if (N <= 0)
+        return false;
+      Bytes.remove_prefix(static_cast<size_t>(N));
+    }
+    return true;
+  };
+  const std::string Frame =
+      encodeRequest(Op::LookupBatch, encodeBatchRequest(Corpus));
+  const size_t Half = Frame.size() / 2;
+  const uint64_t Before = BytesRead();
+  ASSERT_TRUE(SendAll(std::string_view(Frame).substr(0, Half)));
+  // Let the daemon drain the first half (bounded well inside the 400 ms
+  // request deadline, and a no-op wait in obs-off builds).
+  eventually(100, [&] { return BytesRead() >= Before + Half; });
+  ASSERT_TRUE(SendAll(std::string_view(Frame).substr(Half)))
+      << "daemon closed the connection mid-frame";
+
+  std::string Reply;
+  char Buf[64 * 1024];
+  size_t Want = FrameHeaderBytes;
+  while (Reply.size() < Want) {
+    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
+    ASSERT_GT(N, 0) << "connection closed before the reply";
+    Reply.append(Buf, static_cast<size_t>(N));
+    if (Reply.size() >= FrameHeaderBytes)
+      Want = FrameHeaderBytes + iio::getWordLE(Reply.data(), 4);
+  }
+  ::close(Fd);
+  ASSERT_EQ(Reply.size(), Want);
+  ASSERT_EQ(static_cast<Status>(Reply[FrameHeaderBytes + 1]), Status::Ok)
+      << Reply.substr(FrameHeaderBytes + 2);
+  std::vector<WireLookup> Got;
+  ASSERT_TRUE(parseBatchResponse(
+      std::string_view(Reply).substr(FrameHeaderBytes + 2), Got));
+  ASSERT_EQ(Got.size(), Expect.size());
+  for (size_t I = 0; I != Got.size(); ++I) {
+    ASSERT_TRUE(Expect[I].has_value());
+    ASSERT_TRUE(Got[I].Present) << "query " << I;
+    EXPECT_EQ(Got[I].Hash, Expect[I]->Hash) << "query " << I;
+    EXPECT_EQ(Got[I].Count, Expect[I]->Count) << "query " << I;
+    EXPECT_EQ(Got[I].CanonicalBytes, std::string(Expect[I]->CanonicalBytes))
+        << "query " << I;
+  }
   std::remove(Path.c_str());
 }
 
@@ -639,16 +734,6 @@ void removeDirTree(const std::string &Dir) {
       std::remove((Dir + "/" + N).c_str());
   }
   ::rmdir(Dir.c_str());
-}
-
-/// Poll \p Pred every millisecond for up to \p BoundMs. True if it held.
-template <typename Pred> bool eventually(int BoundMs, Pred &&P) {
-  for (int Waited = 0; Waited < BoundMs; ++Waited) {
-    if (P())
-      return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return P();
 }
 
 } // namespace
